@@ -9,13 +9,15 @@ path actually needs:
 * :class:`CSRGraph` — a compressed-sparse-row snapshot of a ``Graph`` with a
   *stable* vertex ↔ index mapping (vertices sorted by ``repr``, the same
   total order the dict sweep uses for tie-breaks);
-* vectorized kernels for the walk — :func:`lazy_walk_step`,
-  :func:`truncate`, :func:`truncated_walk_step`,
-  :func:`truncated_walk_sequence`, :func:`degree_distribution` — operating
-  on dense numpy mass vectors restricted to their support;
-* the vectorized sweep prefix scan — :func:`build_sweep` — computing the
-  ρ̃-ordering, prefix volumes, and prefix cut sizes of one walk vector with
-  ``argsort``/``cumsum`` instead of a Python loop.
+* :class:`WalkWorkspace` — the one production walk and sweep engine: sparse
+  truncated walk steps (:meth:`WalkWorkspace.walk_iter`) and the sweep
+  prefix scan (:meth:`WalkWorkspace.build_sweep`) touching only the walk's
+  support, obtained per snapshot or view through :func:`get_workspace`;
+* the dense single-step kernels — :func:`lazy_walk_step`, :func:`truncate`,
+  :func:`truncated_walk_step` and :func:`build_sweep` — over length-``n``
+  mass vectors: the step-level references the workspace is tested against;
+* :func:`candidate_indices_from_volumes`, ApproximateNibble's geometric
+  candidate prefixes of a sweep.
 
 Bit-for-bit parity with the dict backend is a design goal, not an accident:
 the kernels evaluate the *same* IEEE expressions as
@@ -23,7 +25,8 @@ the kernels evaluate the *same* IEEE expressions as
 canonical order (ascending vertex index, which equals the dict path's
 ``repr``-sorted order), so ``backend="csr"`` and ``backend="dict"`` produce
 identical walk vectors, identical sweeps, and therefore identical certified
-cuts.  ``tests/test_csr.py`` pins this across all benchmark families.
+cuts.  ``tests/test_csr.py`` and ``tests/differential`` pin this across all
+benchmark families.
 
 Integer sweep statistics (prefix volume / cut size) are exact in both
 backends, so conductance values — ratios of those integers — agree exactly
@@ -37,11 +40,11 @@ import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, Vertex
+from .graph import Graph
 
 #: ``backend="auto"`` switches from the dict to the CSR engine at this many
 #: vertices.  Below it the per-step numpy dispatch overhead outweighs the
@@ -438,41 +441,6 @@ def mass_to_dict(csr: CSRGraph, mass: SparseMass) -> dict:
     return {csr.vertices[int(i)]: float(m) for i, m in zip(idx, vals)}
 
 
-def mass_from_dict(csr: CSRGraph, p: dict) -> np.ndarray:
-    """Convert a dict mass vector into a dense numpy vector."""
-    out = np.zeros(csr.n)
-    for v, m in p.items():
-        out[csr.index[v]] = m
-    return out
-
-
-def point_mass(csr: CSRGraph, start: int) -> np.ndarray:
-    """χ_v as a dense vector: all probability mass on vertex index ``start``."""
-    p = np.zeros(csr.n)
-    p[start] = 1.0
-    return p
-
-
-def degree_distribution(csr: CSRGraph, subset: Optional[Iterable[int]] = None) -> SparseMass:
-    """ψ_S: mass deg(v)/Vol(S) on each vertex index of ``subset``.
-
-    Mirrors :func:`repro.walks.lazy_walk.degree_distribution`; the whole
-    graph is used when ``subset`` is ``None``, and zero-degree vertices are
-    dropped from the support.
-    """
-    if subset is None:
-        idx = np.arange(csr.n, dtype=np.int64)
-    else:
-        idx = np.asarray(sorted(subset), dtype=np.int64)
-    total = csr.degree[idx].sum()
-    if total == 0:
-        raise ValueError("cannot normalise over a zero-volume set")
-    deg = csr.degree[idx]
-    keep = deg > 0
-    idx = idx[keep]
-    return idx, deg[keep] / int(total)
-
-
 # ----------------------------------------------------------------------
 # walk kernels (paper Appendix A)
 # ----------------------------------------------------------------------
@@ -518,63 +486,6 @@ def truncated_walk_step(csr: CSRGraph, p: np.ndarray, epsilon: float) -> np.ndar
     return truncate(csr, lazy_walk_step(csr, p), epsilon)
 
 
-def truncated_walk_sequence(
-    csr: CSRGraph, start: int, steps: int, epsilon: float
-) -> list[SparseMass]:
-    """The sequence p̃_0, ..., p̃_steps from a point mass at index ``start``.
-
-    Returns each vector restricted to its support (:data:`SparseMass`).
-    Stepping stops early — with the terminal vector padded to full length —
-    once all mass truncates to zero or a step reproduces its predecessor
-    bit-for-bit (the IEEE fixpoint), matching
-    :func:`repro.walks.lazy_walk.truncated_walk_sequence` exactly.
-    """
-    if not 0 <= start < csr.n:
-        raise KeyError(f"start index {start!r} not in graph")
-    p = point_mass(csr, start)
-    sequence = [sparsify(p)]
-    for _ in range(steps):
-        previous = p
-        p = truncated_walk_step(csr, p, epsilon)
-        sequence.append(sparsify(p))
-        if sequence[-1][0].size == 0:
-            remaining = steps - (len(sequence) - 1)
-            empty = (np.empty(0, dtype=np.int64), np.empty(0))
-            sequence.extend(empty for _ in range(remaining))
-            break
-        if np.array_equal(p, previous):
-            # Truncated fixpoint: every later vector equals this one.
-            remaining = steps - (len(sequence) - 1)
-            fixpoint = sequence[-1]
-            sequence.extend(fixpoint for _ in range(remaining))
-            break
-    return sequence
-
-
-def truncated_walk_iter(csr: CSRGraph, start: int, steps: int, epsilon: float):
-    """Lazily yield p̃_0, ..., p̃_steps (each a :data:`SparseMass`).
-
-    The generator twin of :func:`truncated_walk_sequence`: it yields the
-    *same* vectors in the same order but computes a step only when the
-    consumer asks for it, so a certification scan that stops early — at
-    zero mass, at the IEEE fixpoint, or under the adaptive walk budget
-    (:class:`repro.nibble.sweep.WalkBudgetTracker`) — never pays for the
-    walk steps it does not sweep.  Unlike the list variant there is no
-    terminal padding; consumers that index by time step (the CONGEST
-    parity tests) keep using :func:`truncated_walk_sequence`.
-    """
-    if not 0 <= start < csr.n:
-        raise KeyError(f"start index {start!r} not in graph")
-    p = point_mass(csr, start)
-    yield sparsify(p)
-    for _ in range(steps):
-        p = truncated_walk_step(csr, p, epsilon)
-        mass = sparsify(p)
-        yield mass
-        if mass[0].size == 0:
-            return
-
-
 # ----------------------------------------------------------------------
 # vectorized sweep prefix scan (paper Appendix A's π̃ orderings)
 # ----------------------------------------------------------------------
@@ -616,45 +527,19 @@ class CSRSweep:
         return self.order[:j]
 
 
-#: Sweeps up to this long build their candidate sequence with the shared
-#: pure-Python linear scan: below it, per-call numpy ``searchsorted``
-#: dispatch overhead costs more than scanning a plain list.
-CANDIDATE_SEARCHSORTED_THRESHOLD = 512
-
-
 def candidate_indices_from_volumes(prefix_volume: np.ndarray, phi: float) -> list[int]:
-    """ApproximateNibble's geometric candidate prefixes, via ``searchsorted``.
+    """ApproximateNibble's geometric candidate prefixes of a CSR sweep.
 
-    Produces exactly the sequence of
-    :func:`repro.nibble.sweep.candidate_indices_from_profile` — each "largest
-    j with Vol(π̃(1..j)) ≤ (1+φ)·Vol(π̃(1..j_prev))" is found by one binary
-    search over the non-decreasing prefix-volume profile instead of a linear
-    scan.  The duplication is deliberate and profile-driven, not cosmetic:
-    the shared helper's Python linear scan (O(jmax) interpreted iterations
-    per time step) was a third of the whole CSR ApproximateNibble wall time
-    on 10⁴-vertex supports, and this variant removes it.  Short sweeps
-    (jmax ≤ :data:`CANDIDATE_SEARCHSORTED_THRESHOLD`) go the other way —
-    O(φ⁻¹ log Vol) numpy binary-search dispatches cost more than one pass
-    over a small Python list, and deep-recursion components are exactly the
-    short-sweep case — so they delegate to the shared helper over
-    ``tolist()``.  Any semantic edit here must be mirrored in the shared
-    helper; ``tests/test_csr.py`` pins the two constructions equal.
+    The CSR scan's entry to the one candidate construction,
+    :func:`repro.nibble.sweep.candidate_indices_from_profile`, which binary
+    searches a plain ``tolist()`` copy of the profile with
+    :func:`bisect.bisect_right`: exact int-vs-float comparisons and no
+    per-call numpy dispatch, so it is the same sequence the dict scan
+    examines at every sweep length.
     """
-    jmax = len(prefix_volume) - 1
-    if jmax <= 0:
-        return []
-    if jmax <= CANDIDATE_SEARCHSORTED_THRESHOLD:
-        from ..nibble.sweep import candidate_indices_from_profile
+    from ..nibble.sweep import candidate_indices_from_profile
 
-        return candidate_indices_from_profile(prefix_volume.tolist(), phi)
-    candidates = [1]
-    while candidates[-1] < jmax:
-        prev = candidates[-1]
-        threshold = (1.0 + phi) * float(prefix_volume[prev])
-        j = int(np.searchsorted(prefix_volume, threshold, side="right")) - 1
-        nxt = max(prev + 1, j)
-        candidates.append(min(nxt, jmax))
-    return candidates
+    return candidate_indices_from_profile(prefix_volume, phi)
 
 
 def prefix_cut_profile(csr: CSRGraph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -716,79 +601,14 @@ def build_sweep(csr: CSRGraph, mass: SparseMass) -> CSRSweep:
 
 
 # ----------------------------------------------------------------------
-# preallocated walk workspace (the PR 8 kernel rewrite)
+# preallocated walk workspace
 # ----------------------------------------------------------------------
-_WORKSPACE_ENABLED = os.environ.get("REPRO_WORKSPACE", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def workspace_enabled() -> bool:
-    """Whether walk workspaces are in use (env ``REPRO_WORKSPACE`` seeds it)."""
-    return _WORKSPACE_ENABLED
-
-
-def set_workspace_enabled(enabled: bool) -> bool:
-    """Toggle workspace kernels process-wide; returns the previous setting."""
-    global _WORKSPACE_ENABLED
-    previous = _WORKSPACE_ENABLED
-    _WORKSPACE_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def forced_workspace(enabled: bool):
-    """Scoped workspace toggle (the differential matrix runs both arms)."""
-    previous = set_workspace_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_workspace_enabled(previous)
-
-
-# Optional jitted scatter-add seam.  The jitted loop accumulates strictly
-# sequentially in input order — the same order ``np.bincount`` uses — so
-# turning the flag on cannot change a single bit of any walk vector.  The
-# flag defaults off and falls back silently when numba is not installed;
-# the pure-numpy path is the oracle either way.
-_NUMBA_SCATTER = None
-if os.environ.get("REPRO_NUMBA", "0").lower() in ("1", "true", "on"):  # pragma: no cover
-    try:
-        import numba as _numba
-
-        @_numba.njit(cache=True)
-        def _numba_scatter(ids, weights, out):
-            for k in range(ids.shape[0]):
-                out[ids[k]] += weights[k]
-
-        _NUMBA_SCATTER = _numba_scatter
-    except Exception:
-        _NUMBA_SCATTER = None
-
-
-def scatter_add(ids: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sum ``weights`` into a zero vector of ``size`` slots at ``ids``.
-
-    Sequential in input order (for each slot, contributions arrive in the
-    order they appear in ``ids``) on both the ``np.bincount`` default path
-    and the optional numba path, which is exactly the accumulation-order
-    contract the dict↔CSR bit-identity rests on.
-    """
-    if _NUMBA_SCATTER is not None:  # pragma: no cover - numba not in CI image
-        out = np.zeros(size)
-        _NUMBA_SCATTER(np.ascontiguousarray(ids, dtype=np.int64), weights, out)
-        return out
-    return np.bincount(ids, weights=weights, minlength=size)
-
-
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_VALS = np.empty(0)
 
 
 class WalkWorkspace:
-    """Reusable scratch state making walk + sweep kernels allocation-lean.
+    """The CSR walk and sweep engine: reusable, allocation-lean scratch state.
 
     The dense kernels above are O(n) *per step* even when the truncated
     support has a handful of vertices: ``lazy_walk_step`` materialises a
@@ -796,12 +616,12 @@ class WalkWorkspace:
     and thresholds length-``n`` vectors, and ``prefix_cut_profile`` fills a
     length-``n`` position array per sweep.  On deep-recursion components
     (tiny alive sets inside a 10⁴-vertex base) those O(n) passes dominate
-    the whole decomposition.  A workspace replaces them with sparse
-    kernels that touch only the support:
+    the whole decomposition.  A workspace runs every CSR walk and sweep
+    with sparse kernels that touch only the support:
 
     * :meth:`truncated_step` maps a :data:`SparseMass` directly to the next
       :data:`SparseMass` — union support via ``np.unique``, incoming shares
-      scattered into compacted slots by :func:`scatter_add`, retained mass
+      scattered into compacted slots by one ``np.bincount``, retained mass
       added, truncation threshold applied — with zero length-``n`` work;
     * :meth:`build_sweep` reuses one persistent position array (sentinel
       ``n``, set/reset O(support) per sweep) instead of ``np.full(n, ...)``;
@@ -813,10 +633,11 @@ class WalkWorkspace:
     Bit-identity with the dense kernels is by construction, not tolerance:
     every float expression is evaluated element-restricted but otherwise
     verbatim, and the scatter accumulates per-target contributions in the
-    same ascending-source order as ``np.bincount`` over the dense vector,
-    so each partial-sum sequence — and therefore each IEEE result — is
-    identical.  ``tests/differential`` pins this across the whole backend
-    matrix.
+    same ascending-source order as ``np.bincount`` over the dense vector
+    (``bincount`` adds sequentially in input order), so each partial-sum
+    sequence — and therefore each IEEE result — is identical.
+    ``tests/differential`` pins this against the dict oracle across the
+    whole backend matrix.
 
     A workspace belongs to one :class:`CSRGraph` snapshot or one
     :class:`~repro.graphs.peel.PeeledCSR` view; views invalidate theirs on
@@ -912,7 +733,9 @@ class WalkWorkspace:
             self._keep_pos = keep_pos
             self._deg_support = deg_support
         if flat.size:
-            out = scatter_add(scatter_ids, share[row_id], len(out_support))
+            out = np.bincount(
+                scatter_ids, weights=share[row_id], minlength=len(out_support)
+            )
         else:
             out = np.zeros(len(out_support))
         out[keep_pos] += keep
@@ -921,15 +744,22 @@ class WalkWorkspace:
 
     # ------------------------------------------------------------------
     def walk_iter(self, start: int, steps: int, epsilon: float):
-        """Lazily yield p̃_0, ..., p̃_steps; the workspace twin of
-        :func:`truncated_walk_iter` (same vectors, same early stop)."""
+        """Lazily yield p̃_0, ..., p̃_steps from a point mass at index ``start``.
+
+        The index twin of :func:`repro.walks.lazy_walk.truncated_walk_iter`:
+        the same vectors (as :data:`SparseMass`) in the same order, each
+        step computed only when the consumer asks for it, and no further
+        step once all mass truncates to zero.  ``start`` must be an index of
+        the graph and, on a :class:`~repro.graphs.peel.PeeledCSR` view, an
+        alive one — a walk seeded at a dead base index would leak mass
+        through the base adjacency into nonsense cuts.
+        """
         g = self.graph
-        alive = getattr(g, "alive", None)
-        if alive is not None:
-            if not alive[start]:
-                raise KeyError(f"start index {start!r} is peeled")
-        elif not 0 <= start < g.n:
+        if not 0 <= start < g.n:
             raise KeyError(f"start index {start!r} not in graph")
+        alive = getattr(g, "alive", None)
+        if alive is not None and not alive[start]:
+            raise KeyError(f"start index {start!r} is peeled")
         mass: SparseMass = (
             np.array([start], dtype=np.int64),
             np.array([1.0]),
@@ -982,16 +812,9 @@ class WalkWorkspace:
         )
 
 
-def get_workspace(graph) -> Optional[WalkWorkspace]:
-    """The graph's cached :class:`WalkWorkspace`, or ``None`` when disabled.
-
-    Lazily created and memoised on the snapshot/view (``_ws``); callers
-    treat ``None`` as "use the dense kernels", so flipping
-    :func:`set_workspace_enabled` swaps engines without touching call
-    sites.
-    """
-    if not _WORKSPACE_ENABLED:
-        return None
+def get_workspace(graph) -> WalkWorkspace:
+    """The graph's :class:`WalkWorkspace`, lazily created and memoised on
+    the snapshot or view (``_ws``; :meth:`PeeledCSR.peel` drops it)."""
     ws = graph._ws
     if ws is None:
         ws = WalkWorkspace(graph)

@@ -42,12 +42,11 @@ through ``n`` / ``degree`` / ``loops`` / ``proper_degree`` /
 (``flat_adjacency`` drops edges into peeled vertices, ``degree`` is the
 unchanged base array per INV-1), so the *same* kernel code runs masked,
 bit-for-bit equal to the dict backend on the materialised ``G{U}`` — no
-third kernel implementation to keep in sync.  The module-level
-:func:`lazy_walk_step` / :func:`truncate` / :func:`truncated_walk_sequence`
-/ :func:`build_sweep` wrappers pin that contract by name (and the parity
-tests drive them); :func:`truncated_walk_sequence` additionally guards
-against peeled start vertices and is the variant the Nibble driver calls
-on views.
+second kernel implementation to keep in sync.  The Nibble driver walks and
+sweeps a view through its :class:`~repro.graphs.csr.WalkWorkspace`
+(:func:`repro.graphs.csr.get_workspace`), whose ``walk_iter`` rejects
+peeled start vertices; the module-level :func:`build_sweep` is the dense
+masked sweep reference.
 """
 
 from __future__ import annotations
@@ -469,18 +468,13 @@ class PeeledCSR:
 
 
 # ----------------------------------------------------------------------
-# masked kernels
+# compaction and the masked sweep
 # ----------------------------------------------------------------------
 # The CSR kernels only touch their graph argument through the surface
 # PeeledCSR masks (degree / loops / flat_adjacency / n / total_volume), so
-# the masked variants *are* the CSR kernels run on the view.  These
-# wrappers pin that contract by name — plus the one check delegation
-# cannot provide: a peeled view's base index still contains dead vertices,
-# so the walk entry point must reject a peeled start
-# (:func:`truncated_walk_sequence` below, which is the variant the Nibble
-# driver calls on views).  Any new kernel that reaches past the masked
-# surface (e.g. into base.indptr directly) must grow a genuinely masked
-# variant here instead.
+# the masked variants *are* the CSR kernels run on the view.  Any new
+# kernel that reaches past the masked surface (e.g. into base.indptr
+# directly) must grow a genuinely masked variant here instead.
 
 
 def maybe_compact(peel: PeeledCSR) -> PeeledCSR:
@@ -494,42 +488,6 @@ def maybe_compact(peel: PeeledCSR) -> PeeledCSR:
     if 2 * peel.num_vertices <= peel.n:
         return peel.compact()
     return peel
-
-
-def lazy_walk_step(peel: PeeledCSR, p: np.ndarray) -> np.ndarray:
-    """Masked lazy walk step ``M p`` on the alive subgraph.
-
-    Residual loops keep their share in place (the Remove-j compensation is
-    what makes the masked walk equal the walk on the materialised ``G{U}``),
-    and mass never crosses into peeled vertices because the masked
-    ``flat_adjacency`` drops those edges.  Bit-identical to both the dict
-    and plain-CSR backends on the same alive set.
-    """
-    return csr_kernels.lazy_walk_step(peel, p)
-
-
-def truncate(peel: PeeledCSR, p: np.ndarray, epsilon: float) -> np.ndarray:
-    """Masked truncation ``[p]_ε``: thresholds use the preserved degrees."""
-    return csr_kernels.truncate(peel, p, epsilon)
-
-
-def truncated_walk_sequence(
-    peel: PeeledCSR, start: int, steps: int, epsilon: float
-) -> list[SparseMass]:
-    """Masked p̃_0..p̃_steps from a point mass at alive base index ``start``."""
-    if not peel.alive[start]:
-        raise KeyError(f"start index {start!r} is peeled")
-    return csr_kernels.truncated_walk_sequence(peel, start, steps, epsilon)
-
-
-def truncated_walk_iter(peel: PeeledCSR, start: int, steps: int, epsilon: float):
-    """Masked lazy walk generator (the view twin of
-    :func:`repro.graphs.csr.truncated_walk_iter`), with the same peeled-start
-    guard as :func:`truncated_walk_sequence`: a walk seeded at a dead base
-    index would leak mass through the base adjacency into nonsense cuts."""
-    if not peel.alive[start]:
-        raise KeyError(f"start index {start!r} is peeled")
-    return csr_kernels.truncated_walk_iter(peel, start, steps, epsilon)
 
 
 def build_sweep(peel: PeeledCSR, mass: SparseMass) -> CSRSweep:

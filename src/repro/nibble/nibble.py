@@ -37,7 +37,6 @@ from typing import Hashable, Iterable, Mapping, Optional
 import numpy as np
 
 from ..graphs import csr as csr_backend
-from ..graphs import peel as peel_backend
 from ..graphs.csr import CSRGraph, resolve_backend
 from ..graphs.graph import Graph, Vertex
 from ..graphs.peel import PeeledCSR
@@ -216,7 +215,6 @@ def scan_walk_sequence_csr(
     approximate: bool = False,
     return_first: bool = False,
     stable_steps: Optional[int] = None,
-    workspace: Optional[csr_backend.WalkWorkspace] = None,
 ) -> Optional[NibbleCut]:
     """Vectorized twin of :func:`scan_walk_sequence` for the CSR backend.
 
@@ -232,17 +230,18 @@ def scan_walk_sequence_csr(
     of the peeled working graph.
 
     ``sequence`` may be a lazy generator
-    (:func:`repro.graphs.csr.truncated_walk_iter`) and ``stable_steps``
+    (:meth:`repro.graphs.csr.WalkWorkspace.walk_iter`) and ``stable_steps``
     enables the adaptive walk budget, both exactly as in
     :func:`scan_walk_sequence` — the stop signature (support ordering +
     certified prefix indices) is the same rule in index space, so the two
     backends stop at the same time step for bit-identical walks.
 
-    With ``workspace`` set (a :class:`~repro.graphs.csr.WalkWorkspace` for
-    ``csr``) the sweep uses the preallocated sparse kernel — bit-identical
-    output; its gather cache is shared with a workspace-driven walk so each
-    time step pays for at most one adjacency gather.
+    Every sweep runs through the graph's
+    :class:`~repro.graphs.csr.WalkWorkspace`, whose gather cache is shared
+    with a walk drawn from the same workspace, so each time step pays for
+    at most one adjacency gather.
     """
+    workspace = csr_backend.get_workspace(csr)
     best: Optional[tuple] = None  # ((Φ, -Vol), t, j, cut_size, prefix indices)
     max_fraction = (
         params.relaxed_max_cut_volume_fraction
@@ -269,10 +268,7 @@ def scan_walk_sequence_csr(
             # scan so the backends break at the same step.
             break
         previous = mass
-        if workspace is not None:
-            state = workspace.build_sweep(mass)
-        else:
-            state = csr_backend.build_sweep(csr, mass)
+        state = workspace.build_sweep(mass)
         if state.jmax == 0:
             # All mass sits on zero-degree vertices; the next step repeats
             # this one bit-for-bit and the fixpoint rule above breaks.
@@ -399,26 +395,10 @@ def _run_nibble(
             csr = CSRGraph.from_graph(graph)
         if start not in csr.index:
             raise KeyError(f"start vertex {start!r} not in graph")
-        ws = csr_backend.get_workspace(csr)
-        if ws is not None:
-            # Preallocated sparse kernels: same vectors bit-for-bit, no
-            # O(n) per-step work, one shared adjacency gather per step.
-            # walk_iter applies the same peeled-start guard as the masked
-            # wrapper below.
-            sequence = ws.walk_iter(
-                csr.index[start], params.t0, params.epsilon_b(scale)
-            )
-        elif isinstance(csr, PeeledCSR):
-            # The guarded masked variant: a peeled view's base index still
-            # contains dead vertices, and a walk seeded at one would leak
-            # mass through the base adjacency into nonsense cuts.
-            sequence = peel_backend.truncated_walk_iter(
-                csr, csr.index[start], params.t0, params.epsilon_b(scale)
-            )
-        else:
-            sequence = csr_backend.truncated_walk_iter(
-                csr, csr.index[start], params.t0, params.epsilon_b(scale)
-            )
+        # walk_iter rejects a peeled start on a view.
+        sequence = csr_backend.get_workspace(csr).walk_iter(
+            csr.index[start], params.t0, params.epsilon_b(scale)
+        )
         return scan_walk_sequence_csr(
             csr,
             sequence,
@@ -427,7 +407,6 @@ def _run_nibble(
             start,
             approximate=approximate,
             stable_steps=stable,
-            workspace=ws,
         )
     sequence = truncated_walk_iter(graph, start, params.t0, params.epsilon_b(scale))
     return scan_walk_sequence(

@@ -157,11 +157,10 @@ def candidate_indices_from_profile(
 
     ``prefix_volume[j]`` is Vol(π̃(1..j)) with ``prefix_volume[0] = 0``, as
     produced by both :func:`build_sweep` and the CSR backend's
-    :func:`repro.graphs.csr.build_sweep`.  The CSR scan uses its own
-    ``searchsorted`` variant
-    (:func:`repro.graphs.csr.candidate_indices_from_volumes`) on long
-    sweeps; the two constructions are semantically identical and are pinned
-    equal by ``tests/test_csr.py``.
+    :class:`repro.graphs.csr.WalkWorkspace`.  It is the one candidate
+    construction: the CSR scan reaches it through
+    :func:`repro.graphs.csr.candidate_indices_from_volumes`, at every sweep
+    length.
 
     Each "largest j with Vol(π̃(1..j)) ≤ (1+φ)·Vol(π̃(1..j_prev))" is found
     by :func:`bisect.bisect_right` over a plain Python list — the profile

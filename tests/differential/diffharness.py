@@ -1,10 +1,9 @@
 """Differential-testing harness: one matrix, every backend, bit-identical.
 
 The repository's core correctness contract is that every execution backend
-— the dict oracle, the dense CSR engine, the preallocated
-:class:`~repro.graphs.csr.WalkWorkspace` kernels, int32 and int64 index
-storage, memory-mapped snapshots, and the certification fast path on or
-off — produces *bit-identical* outputs: the same cuts, the same RNG
+— the dict oracle, the CSR engine (:class:`~repro.graphs.csr.WalkWorkspace`
+kernels), int32 and int64 index storage, memory-mapped snapshots, and the
+certification fast path on or off — produces *bit-identical* outputs: the same cuts, the same RNG
 post-states, the same round accounting.  This module is the single place
 that contract is written down as executable code.
 
@@ -44,7 +43,7 @@ from repro.decomposition import (
     expander_decomposition,
     nearly_most_balanced_sparse_cut,
 )
-from repro.graphs.csr import CSRGraph, forced_index_dtype, forced_workspace
+from repro.graphs.csr import CSRGraph, forced_index_dtype
 from repro.graphs.generators import (
     barbell_expanders,
     dumbbell_cliques,
@@ -64,8 +63,7 @@ class BackendConfig:
     """One cell of the backend matrix.
 
     ``backend`` is the engine argument handed to the pipeline entry points;
-    ``index_dtype`` forces the CSR index-dtype policy; ``workspace``
-    toggles the preallocated walk kernels; ``fast_path`` toggles the
+    ``index_dtype`` forces the CSR index-dtype policy; ``fast_path`` toggles the
     spectral pre-check layer; ``mmap`` round-trips the graph through a
     memory-mapped :class:`CSRGraph` snapshot and uses it as the host.
     """
@@ -73,7 +71,6 @@ class BackendConfig:
     name: str
     backend: str = "auto"
     index_dtype: str = "auto"
-    workspace: bool = True
     fast_path: bool = True
     mmap: bool = False
     #: Component-scheduler column: ``"inline"`` (the oracle ordering) or
@@ -89,9 +86,7 @@ MATRIX = (
     BackendConfig("dict", backend="dict"),
     BackendConfig("auto", backend="auto"),
     BackendConfig("csr-int64", backend="csr", index_dtype="int64"),
-    BackendConfig("csr-int64-nows", backend="csr", index_dtype="int64", workspace=False),
     BackendConfig("csr-int32", backend="csr", index_dtype="int32"),
-    BackendConfig("csr-int32-nows", backend="csr", index_dtype="int32", workspace=False),
     BackendConfig("mmap", mmap=True),
     BackendConfig("dict-nofast", backend="dict", fast_path=False),
     BackendConfig("auto-nofast", backend="auto", fast_path=False),
@@ -99,16 +94,16 @@ MATRIX = (
 )
 
 #: A cheaper matrix that still touches every axis once (dict oracle,
-#: int32 + workspace, int64 + dense kernels, mmap, fast path off) — used
-#: on the broader generator families where the full matrix would make the
+#: int32, int64, mmap, fast path off, permuted scheduling) — used on the
+#: broader generator families where the full matrix would make the
 #: suite's runtime quadratic in coverage.
 CORE_MATRIX = (
     MATRIX[0],  # dict
-    MATRIX[4],  # csr-int32 (workspace on)
-    MATRIX[3],  # csr-int64-nows (dense kernels)
-    MATRIX[6],  # mmap
-    MATRIX[8],  # auto-nofast
-    MATRIX[9],  # component-parallel (permuted sibling scheduling)
+    MATRIX[3],  # csr-int32
+    MATRIX[2],  # csr-int64
+    MATRIX[4],  # mmap
+    MATRIX[6],  # auto-nofast
+    MATRIX[7],  # component-parallel (permuted sibling scheduling)
 )
 
 
@@ -237,7 +232,6 @@ def run_decomposition(graph, config, seed, epsilon, phi, **kwargs):
     from contextlib import ExitStack
 
     with ExitStack() as stack:
-        stack.enter_context(forced_workspace(config.workspace))
         stack.enter_context(forced_index_dtype(config.index_dtype))
         host = _host_graph(graph, config, stack)
         rng = np.random.default_rng(seed)
@@ -265,7 +259,6 @@ def run_sparse_cut(graph, config, seed, phi, **kwargs):
     from contextlib import ExitStack
 
     with ExitStack() as stack:
-        stack.enter_context(forced_workspace(config.workspace))
         stack.enter_context(forced_index_dtype(config.index_dtype))
         host = _host_graph(graph, config, stack)
         if config.mmap:

@@ -1,10 +1,11 @@
 """Granular kernel parity: workspace walks and sweeps vs the oracles.
 
 The pipeline matrix (test_pipeline.py) pins end-to-end identity; this
-module pins the individual kernels the :class:`WalkWorkspace` replaces —
-truncated walk sequences and sweep construction — step by step and field
-by field against both the dict oracle and the dense CSR engine, so a
-divergence is localised to the exact step and vector that drifted.
+module pins the individual :class:`WalkWorkspace` kernels — truncated walk
+sequences and sweep construction — step by step and field by field against
+the dict oracle (and the sweep against the dense CSR step-level reference),
+plus the CSR scan built on them against the dict scan, so a divergence is
+localised to the exact step and vector that drifted.
 """
 
 import numpy as np
@@ -12,12 +13,14 @@ import pytest
 
 from diffharness import generator_families
 from repro.graphs import csr as csr_backend
-from repro.graphs.csr import CSRGraph, WalkWorkspace, forced_workspace, get_workspace
+from repro.graphs.csr import CSRGraph, WalkWorkspace, get_workspace
 from repro.graphs.generators import erdos_renyi_graph
+from repro.nibble.nibble import scan_walk_sequence, scan_walk_sequence_csr
 from repro.nibble.parameters import NibbleParameters
 from repro.nibble.sweep import build_sweep as dict_build_sweep
 from repro.nibble.sweep import candidate_indices
-from repro.walks.lazy_walk import truncated_walk_sequence as dict_walk_sequence
+from repro.graphs.peel import PeeledCSR
+from repro.walks.lazy_walk import truncated_walk_iter as dict_walk_iter
 
 
 def walk_graphs():
@@ -41,7 +44,7 @@ def assert_same_mass(csr, sparse, dense_dict):
 
 
 class TestWorkspaceWalkParity:
-    def test_walk_iter_matches_dict_and_dense_sequences(self):
+    def test_walk_iter_matches_dict_sequences(self):
         for g in walk_graphs():
             if g.total_volume() == 0:
                 continue
@@ -51,19 +54,10 @@ class TestWorkspaceWalkParity:
             start = csr.vertices[len(csr.vertices) // 2]
             for scale in (1, params.ell):
                 eps = params.epsilon_b(scale)
-                dict_seq = dict_walk_sequence(g, start, params.t0, eps)
-                dense_seq = list(
-                    csr_backend.truncated_walk_iter(
-                        csr, csr.index[start], params.t0, eps
-                    )
-                )
+                dict_seq = list(dict_walk_iter(g, start, params.t0, eps))
                 ws_seq = list(ws.walk_iter(csr.index[start], params.t0, eps))
-                assert len(ws_seq) == len(dense_seq) == len(dict_seq)
-                for ws_mass, dense_mass, dict_mass in zip(
-                    ws_seq, dense_seq, dict_seq
-                ):
-                    assert np.array_equal(ws_mass[0], dense_mass[0])
-                    assert np.array_equal(ws_mass[1], dense_mass[1])
+                assert len(ws_seq) == len(dict_seq)
+                for ws_mass, dict_mass in zip(ws_seq, dict_seq):
                     assert_same_mass(csr, ws_mass, dict_mass)
 
     def test_workspace_reuse_across_walks_stays_identical(self):
@@ -84,10 +78,50 @@ class TestWorkspaceWalkParity:
                 assert np.array_equal(a[1], b[1])
 
     def test_peeled_start_raises_keyerror(self):
+        """Out-of-range (and, on a view, peeled) starts fail with KeyError
+        before any mass vector is yielded, whatever the step count."""
         csr = CSRGraph.from_graph(walk_graphs()[0])
-        ws = WalkWorkspace(csr)
-        with pytest.raises(KeyError):
-            next(ws.walk_iter(csr.n + 3, 5, 0.01))
+        view = PeeledCSR.full(csr)
+        view.peel([0])
+        out_of_range = [-1, csr.n, csr.n + 3]
+        for graph, starts in ((csr, out_of_range), (view, out_of_range + [0])):
+            for start in starts:
+                for steps in (0, 5):
+                    with pytest.raises(KeyError):
+                        next(WalkWorkspace(graph).walk_iter(start, steps, 0.01))
+
+    def test_walk_iter_zero_steps_yields_only_the_point_mass(self):
+        """``steps=0`` yields exactly p̃_0 = χ_start, on a snapshot and on a
+        view, as the dict walk does."""
+        g = walk_graphs()[0]
+        csr = CSRGraph.from_graph(g)
+        view = PeeledCSR.full(csr)
+        view.peel([0])
+        for graph in (csr, view):
+            for start in (1, graph.n - 1):
+                seq = list(WalkWorkspace(graph).walk_iter(start, 0, 0.01))
+                assert len(seq) == 1
+                assert seq[0][0].tolist() == [start]
+                assert seq[0][1].tolist() == [1.0]
+                label = graph.vertices[start]
+                assert csr_backend.mass_to_dict(graph, seq[0]) == next(
+                    dict_walk_iter(g, label, 0, 0.01)
+                )
+
+    def test_walk_iter_stops_once_all_mass_truncates(self):
+        """A threshold that truncates everything ends the walk after the
+        first (empty) step instead of running on to ``steps``, exactly
+        where the dict walk ends."""
+        for g in walk_graphs():
+            if g.total_volume() == 0:
+                continue
+            csr = CSRGraph.from_graph(g)
+            start = max(csr.vertices, key=g.degree)
+            dict_seq = list(dict_walk_iter(g, start, 10, 1.0))
+            ws_seq = list(get_workspace(csr).walk_iter(csr.index[start], 10, 1.0))
+            assert len(ws_seq) == len(dict_seq) == 2
+            assert ws_seq[-1][0].size == 0 and not dict_seq[-1]
+            assert_same_mass(csr, ws_seq[0], dict_seq[0])
 
 
 class TestWorkspaceSweepParity:
@@ -121,8 +155,8 @@ class TestWorkspaceSweepParity:
                 assert list(ws_state.prefix_cut) == dict_state.prefix_cut
 
     def test_candidate_scan_matches_dict_linear_scan(self):
-        """The bisect-based dict scan and the searchsorted CSR scan must
-        pick the same sweep candidates on shared profiles."""
+        """The CSR scan's candidate entry and the dict scan must pick the
+        same sweep candidates on shared profiles."""
         for seed, g in enumerate(walk_graphs()[:6]):
             csr = CSRGraph.from_graph(g)
             ws = WalkWorkspace(csr)
@@ -137,31 +171,57 @@ class TestWorkspaceSweepParity:
                     ) == candidate_indices(dict_state, phi)
 
 
-class TestWorkspaceToggles:
+class TestScanParity:
+    def test_scan_walk_sequence_csr_matches_dict_scan(self):
+        """The CSR scan, which sweeps through the graph's workspace, and the
+        dict scan certify the same cut (or none) — on a snapshot against G
+        and on a peeled view against G{U}, for Nibble and ApproximateNibble."""
+        found = 0
+        for g in walk_graphs():
+            if g.total_volume() == 0:
+                continue
+            csr = CSRGraph.from_graph(g)
+            keep = csr.vertices[: max(2, 2 * csr.n // 3)]
+            view = PeeledCSR.for_subset(csr, (csr.index[v] for v in keep))
+            for graph, work in ((csr, g), (view, g.induced_with_loops(keep))):
+                if work.total_volume() == 0:
+                    continue
+                params = NibbleParameters.practical(work, 0.15)
+                start = keep[0]
+                for scale in (1, params.ell):
+                    eps = params.epsilon_b(scale)
+                    for approximate in (False, True):
+                        dict_cut = scan_walk_sequence(
+                            work,
+                            dict_walk_iter(work, start, params.t0, eps),
+                            scale,
+                            params,
+                            start,
+                            approximate=approximate,
+                        )
+                        csr_cut = scan_walk_sequence_csr(
+                            graph,
+                            get_workspace(graph).walk_iter(
+                                csr.index[start], params.t0, eps
+                            ),
+                            scale,
+                            params,
+                            start,
+                            approximate=approximate,
+                        )
+                        assert csr_cut == dict_cut
+                        found += dict_cut is not None
+        assert found > 0  # the comparison is not vacuous
+
+
+class TestGetWorkspace:
     def test_get_workspace_memoises_per_snapshot(self):
         csr = CSRGraph.from_graph(walk_graphs()[0])
-        with forced_workspace(True):
-            ws = get_workspace(csr)
-            assert ws is not None
-            assert get_workspace(csr) is ws
-        with forced_workspace(False):
-            assert get_workspace(csr) is None
-
-    def test_forced_workspace_restores_previous_state(self):
-        before = csr_backend.workspace_enabled()
-        with forced_workspace(not before):
-            assert csr_backend.workspace_enabled() is (not before)
-            with forced_workspace(before):
-                assert csr_backend.workspace_enabled() is before
-            assert csr_backend.workspace_enabled() is (not before)
-        assert csr_backend.workspace_enabled() is before
-
-    def test_scatter_add_matches_bincount(self):
-        rng = np.random.default_rng(0)
-        for size in (1, 7, 64):
-            ids = rng.integers(0, size, 200)
-            weights = rng.random(200)
-            assert np.array_equal(
-                csr_backend.scatter_add(ids, weights, size),
-                np.bincount(ids, weights=weights, minlength=size),
-            )
+        ws = get_workspace(csr)
+        assert isinstance(ws, WalkWorkspace)
+        assert get_workspace(csr) is ws
+        view = PeeledCSR.full(csr)
+        view_ws = get_workspace(view)
+        assert view_ws is not ws and get_workspace(view) is view_ws
+        view.peel([0])  # the mask changed: the view's workspace is rebuilt
+        assert get_workspace(view) is not view_ws

@@ -48,7 +48,6 @@ class TestBackendMatrix:
         expose — losing a cell here silently weakens every test above."""
         assert {c.backend for c in MATRIX} >= {"dict", "csr", "auto"}
         assert {c.index_dtype for c in MATRIX} >= {"auto", "int32", "int64"}
-        assert {c.workspace for c in MATRIX} == {True, False}
         assert {c.fast_path for c in MATRIX} == {True, False}
         assert any(c.mmap for c in MATRIX)
         # component scheduling: the permuted-sibling column must stay in
